@@ -96,8 +96,14 @@ bench-sequence: cmds
 	$(GO) test -count=1 -run 'TestSession|TestServerSession|TestSequence' ./pkg/sea/ ./pkg/sea/serve/ ./pkg/sea/serve/http/
 	$(GO) run ./cmd/seabench -sequence -scale 0.5
 
+# Bounded fuzzing: the equilibration kernel, the problem reader (against
+# encoding/json as its oracle, and for its read-write fixed point) and the
+# POST /v1/solve handler.
 fuzz:
 	$(GO) test -fuzz=FuzzKernel -fuzztime=30s ./internal/equilibrate/
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeProblem$$' -fuzztime=30s ./internal/matio/
+	$(GO) test -run '^$$' -fuzz='^FuzzReadProblem$$' -fuzztime=30s ./internal/matio/
+	$(GO) test -run '^$$' -fuzz='^FuzzSolveHandler$$' -fuzztime=30s ./pkg/sea/serve/http/
 
 fmt:
 	gofmt -l .

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -948,11 +949,17 @@ func (st *diagState) colChunkBatched(chunk, lo, hi int) {
 	}
 }
 
-// takeErr returns (and clears) the first recorded worker error.
+// takeErr returns (and clears) the first recorded worker error. A row or
+// column subproblem with no feasible point (a total beyond its cells'
+// bounds) makes the whole problem infeasible, so it also wraps
+// ErrInfeasible.
 func (st *diagState) takeErr() error {
 	for c, err := range st.errs {
 		if err != nil {
 			st.errs[c] = nil
+			if errors.Is(err, equilibrate.ErrInfeasible) {
+				err = fmt.Errorf("%w: %w", ErrInfeasible, err)
+			}
 			return err
 		}
 	}

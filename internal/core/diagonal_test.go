@@ -447,6 +447,20 @@ func TestInfeasibleTotals(t *testing.T) {
 	}
 }
 
+// TestInfeasibleSubproblem: totals that pass validation but exceed their
+// cells' upper bounds surface from the row phase as ErrInfeasible, the
+// sentinel callers (the HTTP transport's 422) branch on.
+func TestInfeasibleSubproblem(t *testing.T) {
+	p := &DiagonalProblem{M: 1, N: 1, X0: []float64{1}, Gamma: []float64{1},
+		S0: []float64{1}, D0: []float64{1}, Upper: []float64{0.5}, Lower: []float64{0}, Kind: FixedTotals}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SolveDiagonal(context.Background(), p, tightOpts()); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	x0 := []float64{1, 1, 1, 1}
 	gamma := []float64{1, 1, 1, 1}

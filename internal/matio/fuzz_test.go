@@ -20,6 +20,49 @@ import (
 //  3. Re-reading our own encoding never fails: everything WriteProblemJSON
 //     emits is accepted back.
 func FuzzReadProblem(f *testing.F) {
+	for _, s := range readProblemSeeds(f) {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadProblemJSON(bytes.NewReader(data))
+		if err != nil {
+			// Rejected input: the only contract is no panic.
+			return
+		}
+		// Accepted problems carry only finite numbers — JSON cannot encode
+		// NaN/Inf, and an accepted-then-unencodable problem would poison
+		// the HTTP transport's response path.
+		for _, vs := range [][]float64{p.X0, p.Gamma, p.S0, p.D0, p.Alpha, p.Beta} {
+			for _, v := range vs {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted problem contains non-finite value %v", v)
+				}
+			}
+		}
+
+		var w1 bytes.Buffer
+		if err := WriteProblemJSON(&w1, p); err != nil {
+			t.Fatalf("write of accepted problem failed: %v", err)
+		}
+		p2, err := ReadProblemJSON(bytes.NewReader(w1.Bytes()))
+		if err != nil {
+			t.Fatalf("re-read of own encoding failed: %v\nencoding:\n%s", err, w1.Bytes())
+		}
+		var w2 bytes.Buffer
+		if err := WriteProblemJSON(&w2, p2); err != nil {
+			t.Fatalf("second write failed: %v", err)
+		}
+		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+			t.Fatalf("encoding is not a fixed point:\nfirst:\n%s\nsecond:\n%s", w1.Bytes(), w2.Bytes())
+		}
+	})
+}
+
+// readProblemSeeds is the problem-reader corpus shared by FuzzReadProblem
+// and FuzzDecodeProblem.
+func readProblemSeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
 	// Seed with real encodings from each example family the repo ships,
 	// covering the default-γ path (Gamma omitted) and the explicit one.
 	for _, p := range []*core.DiagonalProblem{
@@ -35,7 +78,7 @@ func FuzzReadProblem(f *testing.F) {
 		if err := WriteProblemJSON(&buf, p); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		seeds = append(seeds, buf.Bytes())
 	}
 
 	// Hand-written seeds: the non-fixed kinds, defaulted fields, and the
@@ -93,40 +136,7 @@ func FuzzReadProblem(f *testing.F) {
 		`{"kind":"fixed","m":1,"n":1,"x0":[1],"s0":[1],"d0":[1],"objective":"huber"}`,
 		`{"kind":"fixed","storage":"csr","m":2,"n":2,"rows":[0,1],"cols":[0,1],"x0":[1,2],"s0":[1,2],"d0":[1,2],"objective":"entropy"}`,
 	} {
-		f.Add([]byte(s))
+		seeds = append(seeds, []byte(s))
 	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadProblemJSON(bytes.NewReader(data))
-		if err != nil {
-			// Rejected input: the only contract is no panic.
-			return
-		}
-		// Accepted problems carry only finite numbers — JSON cannot encode
-		// NaN/Inf, and an accepted-then-unencodable problem would poison
-		// the HTTP transport's response path.
-		for _, vs := range [][]float64{p.X0, p.Gamma, p.S0, p.D0, p.Alpha, p.Beta} {
-			for _, v := range vs {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("accepted problem contains non-finite value %v", v)
-				}
-			}
-		}
-
-		var w1 bytes.Buffer
-		if err := WriteProblemJSON(&w1, p); err != nil {
-			t.Fatalf("write of accepted problem failed: %v", err)
-		}
-		p2, err := ReadProblemJSON(bytes.NewReader(w1.Bytes()))
-		if err != nil {
-			t.Fatalf("re-read of own encoding failed: %v\nencoding:\n%s", err, w1.Bytes())
-		}
-		var w2 bytes.Buffer
-		if err := WriteProblemJSON(&w2, p2); err != nil {
-			t.Fatalf("second write failed: %v", err)
-		}
-		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
-			t.Fatalf("encoding is not a fixed point:\nfirst:\n%s\nsecond:\n%s", w1.Bytes(), w2.Bytes())
-		}
-	})
+	return seeds
 }

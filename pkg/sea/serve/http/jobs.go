@@ -206,12 +206,13 @@ func (h *Handler) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opts, err := h.requestOptions(r, bodyObj, hasBodyObj)
+	q := r.URL.Query()
+	opts, err := h.requestOptions(q, bodyObj, hasBodyObj)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	ctx, cancel, err := requestContext(h.baseCtx, r)
+	ctx, cancel, err := requestContext(h.baseCtx, r, q)
 	if err != nil {
 		writeError(w, err)
 		return

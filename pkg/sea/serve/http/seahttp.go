@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -76,7 +77,7 @@ type ShardedBackend interface {
 // Config parameterizes a Handler. The zero value is a working default.
 type Config struct {
 	// MaxBodyBytes caps a request body (default 32 MiB). Oversized bodies
-	// fail with 413 before the decoder sees them.
+	// fail with 413.
 	MaxBodyBytes int64
 	// MaxJobs caps concurrently tracked asynchronous jobs, running and
 	// retained (default 1024). Beyond it, POST /v1/jobs answers 429.
@@ -203,8 +204,10 @@ func (h *Handler) track() (release func(), ok bool) {
 }
 
 // readProblem decodes and validates the request body's problem JSON. The
-// body's optional "objective" attribute is returned alongside (hasObj
-// reports whether it was present); an unknown family fails here with 400.
+// decoder reads the whole body first, so a body over MaxBodyBytes fails
+// with 413 whatever it holds. The body's optional "objective" attribute is
+// returned alongside (hasObj reports whether it was present); an unknown
+// family fails here with 400.
 func (h *Handler) readProblem(w http.ResponseWriter, r *http.Request) (p *sea.Problem, obj sea.Objective, hasObj bool, err error) {
 	body := http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes)
 	jp, err := matio.DecodeProblem(body)
@@ -228,12 +231,13 @@ func (h *Handler) readProblem(w http.ResponseWriter, r *http.Request) (p *sea.Pr
 }
 
 // requestContext derives the solve context: the caller's tenant header and
-// optional ?timeout= budget applied to ctx.
-func requestContext(ctx context.Context, r *http.Request) (context.Context, context.CancelFunc, error) {
+// optional ?timeout= budget (from the request's parsed query q) applied to
+// ctx.
+func requestContext(ctx context.Context, r *http.Request, q url.Values) (context.Context, context.CancelFunc, error) {
 	if tenant := r.Header.Get("X-Sea-Tenant"); tenant != "" {
 		ctx = serve.WithTenant(ctx, tenant)
 	}
-	if v := r.URL.Query().Get("timeout"); v != "" {
+	if v := q.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return nil, nil, fmt.Errorf("%w: invalid timeout %q", errBadRequest, v)
@@ -244,20 +248,21 @@ func requestContext(ctx context.Context, r *http.Request) (context.Context, cont
 	return ctx, func() {}, nil
 }
 
-// requestOverrides parses the per-request override parameters —
-// ?precondition= and ?objective= — into serve overrides. The body's
-// objective attribute participates too; the query parameter wins when both
-// are present. Bad values fail with 400 before the backend is consulted.
-func requestOverrides(r *http.Request, bodyObj sea.Objective, hasBodyObj bool) ([]serve.Override, error) {
+// requestOverrides parses the per-request override parameters of the
+// parsed query q — ?precondition= and ?objective= — into serve overrides.
+// The body's objective attribute participates too; the query parameter
+// wins when both are present. Bad values fail with 400 before the backend
+// is consulted.
+func requestOverrides(q url.Values, bodyObj sea.Objective, hasBodyObj bool) ([]serve.Override, error) {
 	var overrides []serve.Override
-	if v := r.URL.Query().Get("precondition"); v != "" {
+	if v := q.Get("precondition"); v != "" {
 		pc, err := sea.ParsePrecond(v)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
 		overrides = append(overrides, serve.WithPrecond(pc))
 	}
-	if v := r.URL.Query().Get("objective"); v != "" {
+	if v := q.Get("objective"); v != "" {
 		obj, err := sea.ParseObjective(v)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
@@ -272,8 +277,8 @@ func requestOverrides(r *http.Request, bodyObj sea.Objective, hasBodyObj bool) (
 // requestOptions resolves the request's override parameters against the
 // backend's option template: absent or matching values return nil (the
 // warm zero-alloc submit path), anything else a one-request option clone.
-func (h *Handler) requestOptions(r *http.Request, bodyObj sea.Objective, hasBodyObj bool) (*sea.Options, error) {
-	overrides, err := requestOverrides(r, bodyObj, hasBodyObj)
+func (h *Handler) requestOptions(q url.Values, bodyObj sea.Objective, hasBodyObj bool) (*sea.Options, error) {
+	overrides, err := requestOverrides(q, bodyObj, hasBodyObj)
 	if err != nil {
 		return nil, err
 	}
@@ -292,12 +297,13 @@ func (h *Handler) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opts, err := h.requestOptions(r, bodyObj, hasBodyObj)
+	q := r.URL.Query()
+	opts, err := h.requestOptions(q, bodyObj, hasBodyObj)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	ctx, cancel, err := requestContext(r.Context(), r)
+	ctx, cancel, err := requestContext(r.Context(), r, q)
 	if err != nil {
 		writeError(w, err)
 		return

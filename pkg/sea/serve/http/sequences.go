@@ -195,7 +195,7 @@ func (h *Handler) handleSequenceSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, cancel, err := requestContext(r.Context(), r)
+	ctx, cancel, err := requestContext(r.Context(), r, r.URL.Query())
 	if err != nil {
 		writeError(w, err)
 		return
