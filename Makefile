@@ -16,8 +16,8 @@ test:
 	$(GO) test ./...
 
 # Race-check the scheduling substrate and everything built on it: the core
-# solvers (including the batched equilibration kernel, its radix sorts, and
-# the CSR column-mirror scatter whose per-column writes must stay disjoint),
+# solvers (including the equilibration kernel, its radix sorts, and the CSR
+# column-mirror scatter whose per-column writes must stay disjoint),
 # the baselines, the sparse wire codec, and the public facade (whose
 # cancellation suite exercises pool teardown under contention).
 race:

@@ -86,7 +86,7 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 			}
 			res, err := prob.Solve(y[i*n:(i+1)*n], ws)
 			if err != nil {
-				return nil, fmt.Errorf("baseline: Dykstra row %d: %w", i, err)
+				return nil, core.KernelErr(fmt.Errorf("baseline: Dykstra row %d: %w", i, err))
 			}
 			ops += res.Ops
 		}
@@ -117,7 +117,7 @@ func SolveDykstra(ctx context.Context, p *core.DiagonalProblem, opts *core.Optio
 			}
 			res, err := prob.Solve(xcol, ws)
 			if err != nil {
-				return nil, fmt.Errorf("baseline: Dykstra column %d: %w", j, err)
+				return nil, core.KernelErr(fmt.Errorf("baseline: Dykstra column %d: %w", j, err))
 			}
 			for i := 0; i < m; i++ {
 				x[i*n+j] = xcol[i]

@@ -120,7 +120,7 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 				sol.Converged = false
 				return sol, ctx.Err()
 			}
-			return nil, fmt.Errorf("baseline: RC row stage (outer %d): %w", outer, err)
+			return nil, core.KernelErr(fmt.Errorf("baseline: RC row stage (outer %d): %w", outer, err))
 		}
 		totalInner += it
 		if obs != nil {
@@ -136,7 +136,7 @@ func SolveRC(ctx context.Context, p *core.GeneralProblem, opts *core.Options) (*
 				sol.Converged = false
 				return sol, ctx.Err()
 			}
-			return nil, fmt.Errorf("baseline: RC column stage (outer %d): %w", outer, err)
+			return nil, core.KernelErr(fmt.Errorf("baseline: RC column stage (outer %d): %w", outer, err))
 		}
 		totalInner += it
 
@@ -338,7 +338,7 @@ func (st *rcState) finish(lambda, mu []float64, outer, inner int, residual float
 // fillOpts applies defaults for baseline solvers sharing core.Options.
 func fillOpts(o *core.Options) *core.Options {
 	if o == nil {
-		return core.DefaultOptions()
+		o = core.DefaultOptions() // still needs the inner-loop defaults below
 	}
 	out := *o
 	if out.Epsilon <= 0 {

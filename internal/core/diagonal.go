@@ -135,14 +135,7 @@ type diagState struct {
 	ownPool *parallel.Pool // set when the state created (and must close) its runner
 
 	workspaces []*equilibrate.Workspace
-	batches    []*equilibrate.Batch // per-worker batched-kernel buffers
 	errs       []error
-
-	// useBatch routes the phase bodies through the batched kernel (the
-	// default for the exact kernel); batchTarget is its per-chunk event
-	// budget. Both are re-resolved from Options on every solve.
-	useBatch    bool
-	batchTarget int
 
 	// Phase bodies are bound once per state, not per dispatch, so the hot
 	// loop creates no closures; curPH carries the cost-trace sink of the
@@ -240,22 +233,8 @@ func newDiagState(ctx context.Context, p *DiagonalProblem, o *Options) *diagStat
 	if procs < 1 {
 		procs = 1
 	}
-	st.useBatch = o.Kernel != KernelBisection && !o.DisableBatch
-	st.batchTarget = o.BatchEvents
-	if st.batchTarget <= 0 {
-		st.batchTarget = defaultBatchEvents
-	}
-	batchHint := 0
-	if st.useBatch {
-		// Budget plus one subproblem of overshoot (bounded rows build up to
-		// 2·maxDim events), so a batch never regrows mid-phase.
-		if batchHint = st.batchTarget; batchHint < 2*maxDim {
-			batchHint = 2 * maxDim
-		}
-	}
 	for len(st.workspaces) < procs {
 		st.workspaces = append(st.workspaces, equilibrate.NewWorkspace(maxDim))
-		st.batches = append(st.batches, equilibrate.NewBatch(batchHint))
 		st.errs = append(st.errs, nil)
 	}
 
@@ -311,6 +290,14 @@ func (st *diagState) rowSpan(i int) (int, int) {
 		return i * st.n, (i + 1) * st.n
 	}
 	return st.pat.RowPtr[i], st.pat.RowPtr[i+1]
+}
+
+// colSpan returns column j's index range into the column-mirror arrays.
+func (st *diagState) colSpan(j int) (int, int) {
+	if st.pat == nil {
+		return j * st.m, (j + 1) * st.m
+	}
+	return st.cscPtr[j], st.cscPtr[j+1]
 }
 
 // buildCSC derives the CSC view of st.pat by counting sort: one pass counts
@@ -589,192 +576,6 @@ func (st *diagState) rowPhase(ph *PhaseCosts) error {
 	return st.takeErr()
 }
 
-// defaultBatchEvents is the batched kernel's per-chunk event budget: enough
-// concatenated breakpoint events (16 bytes of key each) that the fused radix
-// amortizes its counting passes over many subproblems while the working set
-// (keys + ping-pong + canonical ≈ 3×16 B×budget) stays inside L2. See
-// docs/PERFORMANCE.md.
-const defaultBatchEvents = 1 << 12
-
-// batchRows returns the end of the batch starting at lo: as many subproblems
-// as fit the event budget (estimated at perRow events each), always at least
-// one.
-func batchRows(lo, hi, perRow, target int) int {
-	rows := target / perRow
-	if rows < 1 {
-		rows = 1
-	}
-	// Cap the subproblem count too: past this the per-segment metadata the
-	// batch streams (problem copies, offsets, results) outgrows the event
-	// data itself — the regime of very small subproblems, where huge batches
-	// stop paying (measured on the sparse table5/spe250 instances).
-	if rows > maxBatchRows {
-		rows = maxBatchRows
-	}
-	if end := lo + rows; end < hi {
-		return end
-	}
-	return hi
-}
-
-// maxBatchRows caps the subproblems per batch regardless of their size.
-const maxBatchRows = 128
-
-// rowChunk is the row-phase body for one worker's index range.
-func (st *diagState) rowChunk(chunk, lo, hi int) {
-	if st.pat != nil {
-		st.rowChunkSparse(chunk, lo, hi)
-		return
-	}
-	if st.useBatch {
-		st.rowChunkBatched(chunk, lo, hi)
-		return
-	}
-	p, o := st.p, st.o
-	n := st.n
-	ws := st.workspaces[chunk]
-	ph := st.curPH
-	for i := lo; i < hi; i++ {
-		x0 := p.X0[i*n : (i+1)*n]
-		a := st.aRow[i*n : (i+1)*n]
-		c, _ := ws.Scratch(n)
-		for j := 0; j < n; j++ {
-			c[j] = x0[j] + a[j]*st.mu[j]
-		}
-		prob := equilibrate.Problem{C: c, A: a}
-		if p.Upper != nil {
-			prob.U = p.Upper[i*n : (i+1)*n]
-		}
-		if p.Lower != nil {
-			prob.L = p.Lower[i*n : (i+1)*n]
-		}
-		switch p.Kind {
-		case FixedTotals:
-			prob.R = p.S0[i]
-		case ElasticTotals:
-			prob.E = 0.5 / p.Alpha[i]
-			prob.R = p.S0[i]
-		case Balanced:
-			e := 0.5 / p.Alpha[i]
-			prob.E = e
-			prob.R = p.S0[i] - e*st.mu[i]
-		}
-		var est *equilibrate.State
-		if st.curRowStates != nil {
-			est = &st.curRowStates[i]
-		}
-		var res equilibrate.Result
-		var err error
-		if p.Kind == IntervalTotals {
-			res, err = prob.SolveIntervalState(p.SLo[i], p.SHi[i], st.x[i*n:(i+1)*n], ws, est)
-		} else if o.Kernel == KernelBisection {
-			res, err = prob.SolveBisection(st.x[i*n:(i+1)*n], o.KernelTol)
-		} else {
-			res, err = prob.SolveState(st.x[i*n:(i+1)*n], ws, est)
-		}
-		if err != nil {
-			if st.errs[chunk] == nil {
-				st.errs[chunk] = fmt.Errorf("row %d: %w", i, err)
-			}
-			return
-		}
-		st.lambda[i] = res.Lambda
-		st.rowSum[i] = res.Total
-		cost := res.Ops + int64(2*n)
-		if ph != nil {
-			ph.Row[i] = cost
-		}
-		if o.Counters != nil {
-			o.Counters.Equilibrations.Add(1)
-			o.Counters.Ops.Add(cost)
-		}
-	}
-}
-
-// rowChunkBatched is the batched row-phase body: it walks [lo,hi) in
-// event-budget batches, accumulating each row's subproblem into the worker's
-// Batch and solving the whole group with the fused sort. Per-row outputs,
-// trace costs, and warm-start states are identical to rowChunk's — the batch
-// kernel is bit-exact — so the two bodies are interchangeable.
-func (st *diagState) rowChunkBatched(chunk, lo, hi int) {
-	p, o := st.p, st.o
-	n := st.n
-	b := st.batches[chunk]
-	ph := st.curPH
-	perRow := n
-	if p.Upper != nil {
-		perRow = 2 * n
-	}
-	for lo < hi {
-		end := batchRows(lo, hi, perRow, st.batchTarget)
-		b.Reset()
-		for i := lo; i < end; i++ {
-			x0 := p.X0[i*n : (i+1)*n]
-			a := st.aRow[i*n : (i+1)*n]
-			c := b.Coef(n)
-			for j := 0; j < n; j++ {
-				c[j] = x0[j] + a[j]*st.mu[j]
-			}
-			prob := equilibrate.Problem{C: c, A: a}
-			if p.Upper != nil {
-				prob.U = p.Upper[i*n : (i+1)*n]
-			}
-			if p.Lower != nil {
-				prob.L = p.Lower[i*n : (i+1)*n]
-			}
-			switch p.Kind {
-			case FixedTotals:
-				prob.R = p.S0[i]
-			case ElasticTotals:
-				prob.E = 0.5 / p.Alpha[i]
-				prob.R = p.S0[i]
-			case Balanced:
-				e := 0.5 / p.Alpha[i]
-				prob.E = e
-				prob.R = p.S0[i] - e*st.mu[i]
-			}
-			var est *equilibrate.State
-			if st.curRowStates != nil {
-				est = &st.curRowStates[i]
-			}
-			var err error
-			if p.Kind == IntervalTotals {
-				err = b.AddInterval(&prob, p.SLo[i], p.SHi[i], st.x[i*n:(i+1)*n], est)
-			} else {
-				err = b.Add(&prob, st.x[i*n:(i+1)*n], est)
-			}
-			if err != nil {
-				if st.errs[chunk] == nil {
-					st.errs[chunk] = fmt.Errorf("row %d: %w", i, err)
-				}
-				return
-			}
-		}
-		if bad, err := b.Solve(); err != nil {
-			if st.errs[chunk] == nil {
-				st.errs[chunk] = fmt.Errorf("row %d: %w", lo+bad, err)
-			}
-			return
-		}
-		var costSum int64
-		for i := lo; i < end; i++ {
-			res := b.Result(i - lo)
-			st.lambda[i] = res.Lambda
-			st.rowSum[i] = res.Total
-			cost := res.Ops + int64(2*n)
-			costSum += cost
-			if ph != nil {
-				ph.Row[i] = cost
-			}
-		}
-		if o.Counters != nil {
-			o.Counters.Equilibrations.Add(int64(end - lo))
-			o.Counters.Ops.Add(costSum)
-		}
-		lo = end
-	}
-}
-
 // colPhase solves the n independent column equilibrium subproblems in
 // parallel, updating x column-wise, μ, and colSum. Every array it touches
 // per column — the transposed prior, slopes and bounds, and the column-major
@@ -796,34 +597,92 @@ func (st *diagState) colPhase(ph *PhaseCosts) error {
 	return nil
 }
 
-// colChunk is the column-phase body for one worker's index range.
-func (st *diagState) colChunk(chunk, lo, hi int) {
-	if st.pat != nil {
-		st.colChunkSparse(chunk, lo, hi)
-		return
-	}
-	if st.useBatch {
-		st.colChunkBatched(chunk, lo, hi)
-		return
-	}
-	p, o := st.p, st.o
-	m := st.m
+// rowChunk is the row-phase body for one worker's index range. Row i's
+// subproblem covers its stored cells — the whole row when dense, its CSR
+// segment otherwise, with cols mapping each cell to its column (nil when
+// dense, where cell t is column t). Structural zeros never enter a kernel
+// call, so per-iteration cost is O(nnz); and because the kernel skips
+// pinned (u = l) cells, a densified copy of a CSR problem walks a
+// bit-identical event stream.
+func (st *diagState) rowChunk(chunk, lo, hi int) {
+	p := st.p
 	ws := st.workspaces[chunk]
-	ph := st.curPH
-	for j := lo; j < hi; j++ {
-		x0c := st.x0T[j*m : (j+1)*m]
-		a := st.aT[j*m : (j+1)*m]
-		c, _ := ws.Scratch(m)
-		for i := 0; i < m; i++ {
-			c[i] = x0c[i] + a[i]*st.lambda[i]
+	var cols []int32
+	if st.pat != nil {
+		cols = st.pat.ColIdx
+	}
+	var eqs, ops int64
+	for i := lo; i < hi; i++ {
+		s, e := st.rowSpan(i)
+		a := st.aRow[s:e]
+		c, _ := ws.Scratch(e - s)
+		linearTerm(c, p.X0[s:e], a, st.mu, cols, s)
+		prob := equilibrate.Problem{C: c, A: a}
+		if p.Upper != nil {
+			prob.U = p.Upper[s:e]
 		}
+		if p.Lower != nil {
+			prob.L = p.Lower[s:e]
+		}
+		var tlo, thi float64
+		switch p.Kind {
+		case FixedTotals:
+			prob.R = p.S0[i]
+		case ElasticTotals:
+			prob.E = 0.5 / p.Alpha[i]
+			prob.R = p.S0[i]
+		case Balanced:
+			el := 0.5 / p.Alpha[i]
+			prob.E = el
+			prob.R = p.S0[i] - el*st.mu[i]
+		case IntervalTotals:
+			tlo, thi = p.SLo[i], p.SHi[i]
+		}
+		var est *equilibrate.State
+		if st.curRowStates != nil {
+			est = &st.curRowStates[i]
+		}
+		res, err := st.solveSub(&prob, tlo, thi, st.x[s:e], ws, est)
+		if err != nil {
+			st.fail(chunk, fmt.Errorf("row %d: %w", i, err))
+			break
+		}
+		st.lambda[i] = res.Lambda
+		st.rowSum[i] = res.Total
+		cost := res.Ops + int64(2*(e-s))
+		eqs, ops = eqs+1, ops+cost
+		if ph := st.curPH; ph != nil {
+			ph.Row[i] = cost
+		}
+	}
+	st.count(eqs, ops)
+}
+
+// colChunk is the column-phase body for one worker's index range, the
+// mirror image of rowChunk over the column mirror: column j's subproblem
+// covers its colSpan of the mirror arrays, with rows mapping each cell to
+// its row (nil when dense).
+func (st *diagState) colChunk(chunk, lo, hi int) {
+	p := st.p
+	ws := st.workspaces[chunk]
+	var rows []int32
+	if st.pat != nil {
+		rows = st.cscRow
+	}
+	var eqs, ops int64
+	for j := lo; j < hi; j++ {
+		s, e := st.colSpan(j)
+		a := st.aT[s:e]
+		c, _ := ws.Scratch(e - s)
+		linearTerm(c, st.x0T[s:e], a, st.lambda, rows, s)
 		prob := equilibrate.Problem{C: c, A: a}
 		if st.upperT != nil {
-			prob.U = st.upperT[j*m : (j+1)*m]
+			prob.U = st.upperT[s:e]
 		}
 		if st.lowerT != nil {
-			prob.L = st.lowerT[j*m : (j+1)*m]
+			prob.L = st.lowerT[s:e]
 		}
+		var tlo, thi float64
 		switch p.Kind {
 		case FixedTotals:
 			prob.R = p.D0[j]
@@ -831,139 +690,104 @@ func (st *diagState) colChunk(chunk, lo, hi int) {
 			prob.E = 0.5 / p.Beta[j]
 			prob.R = p.D0[j]
 		case Balanced:
-			e := 0.5 / p.Alpha[j]
-			prob.E = e
-			prob.R = p.S0[j] - e*st.lambda[j]
+			el := 0.5 / p.Alpha[j]
+			prob.E = el
+			prob.R = p.S0[j] - el*st.lambda[j]
+		case IntervalTotals:
+			tlo, thi = p.DLo[j], p.DHi[j]
 		}
 		var est *equilibrate.State
 		if st.curColStates != nil {
 			est = &st.curColStates[j]
 		}
-		xcol := st.xT[j*m : (j+1)*m]
-		var res equilibrate.Result
-		var err error
-		if p.Kind == IntervalTotals {
-			res, err = prob.SolveIntervalState(p.DLo[j], p.DHi[j], xcol, ws, est)
-		} else if o.Kernel == KernelBisection {
-			res, err = prob.SolveBisection(xcol, o.KernelTol)
-		} else {
-			res, err = prob.SolveState(xcol, ws, est)
-		}
+		res, err := st.solveSub(&prob, tlo, thi, st.xT[s:e], ws, est)
 		if err != nil {
-			if st.errs[chunk] == nil {
-				st.errs[chunk] = fmt.Errorf("column %d: %w", j, err)
-			}
-			return
+			st.fail(chunk, fmt.Errorf("column %d: %w", j, err))
+			break
 		}
 		st.mu[j] = res.Lambda
 		st.colSum[j] = res.Total
-		cost := res.Ops + int64(2*m)
-		if ph != nil {
+		cost := res.Ops + int64(2*(e-s))
+		eqs, ops = eqs+1, ops+cost
+		if ph := st.curPH; ph != nil {
 			ph.Col[j] = cost
 		}
-		if o.Counters != nil {
-			o.Counters.Equilibrations.Add(1)
-			o.Counters.Ops.Add(cost)
+	}
+	st.count(eqs, ops)
+}
+
+// linearTerm writes the kernel's linear coefficients c_t = x⁰_t + a_t·dual
+// of the subproblem stored from offset s, where cell t pairs with
+// dual[idx[s+t]] — or with dual[t] when idx is nil (dense storage). Both
+// forms do the same float operations, which keeps dense and CSR solves of
+// the same problem bit-identical.
+func linearTerm(c, x0, a, dual []float64, idx []int32, s int) {
+	if idx == nil {
+		dual = dual[:len(c)]
+		for t := range c {
+			c[t] = x0[t] + a[t]*dual[t]
 		}
+		return
+	}
+	idx = idx[s : s+len(c)]
+	for t := range c {
+		c[t] = x0[t] + a[t]*dual[idx[t]]
 	}
 }
 
-// colChunkBatched is the batched column-phase body; see rowChunkBatched.
-func (st *diagState) colChunkBatched(chunk, lo, hi int) {
-	p, o := st.p, st.o
-	m := st.m
-	b := st.batches[chunk]
-	ph := st.curPH
-	perCol := m
-	if st.upperT != nil {
-		perCol = 2 * m
-	}
-	for lo < hi {
-		end := batchRows(lo, hi, perCol, st.batchTarget)
-		b.Reset()
-		for j := lo; j < end; j++ {
-			x0c := st.x0T[j*m : (j+1)*m]
-			a := st.aT[j*m : (j+1)*m]
-			c := b.Coef(m)
-			for i := 0; i < m; i++ {
-				c[i] = x0c[i] + a[i]*st.lambda[i]
-			}
-			prob := equilibrate.Problem{C: c, A: a}
-			if st.upperT != nil {
-				prob.U = st.upperT[j*m : (j+1)*m]
-			}
-			if st.lowerT != nil {
-				prob.L = st.lowerT[j*m : (j+1)*m]
-			}
-			switch p.Kind {
-			case FixedTotals:
-				prob.R = p.D0[j]
-			case ElasticTotals:
-				prob.E = 0.5 / p.Beta[j]
-				prob.R = p.D0[j]
-			case Balanced:
-				e := 0.5 / p.Alpha[j]
-				prob.E = e
-				prob.R = p.S0[j] - e*st.lambda[j]
-			}
-			var est *equilibrate.State
-			if st.curColStates != nil {
-				est = &st.curColStates[j]
-			}
-			xcol := st.xT[j*m : (j+1)*m]
-			var err error
-			if p.Kind == IntervalTotals {
-				err = b.AddInterval(&prob, p.DLo[j], p.DHi[j], xcol, est)
-			} else {
-				err = b.Add(&prob, xcol, est)
-			}
-			if err != nil {
-				if st.errs[chunk] == nil {
-					st.errs[chunk] = fmt.Errorf("column %d: %w", j, err)
-				}
-				return
-			}
-		}
-		if bad, err := b.Solve(); err != nil {
-			if st.errs[chunk] == nil {
-				st.errs[chunk] = fmt.Errorf("column %d: %w", lo+bad, err)
-			}
-			return
-		}
-		var costSum int64
-		for j := lo; j < end; j++ {
-			res := b.Result(j - lo)
-			st.mu[j] = res.Lambda
-			st.colSum[j] = res.Total
-			cost := res.Ops + int64(2*m)
-			costSum += cost
-			if ph != nil {
-				ph.Col[j] = cost
-			}
-		}
-		if o.Counters != nil {
-			o.Counters.Equilibrations.Add(int64(end - lo))
-			o.Counters.Ops.Add(costSum)
-		}
-		lo = end
+// solveSub solves one row or column subproblem into x with the configured
+// kernel; [tlo, thi] is the total's interval for IntervalTotals problems.
+func (st *diagState) solveSub(prob *equilibrate.Problem, tlo, thi float64, x []float64, ws *equilibrate.Workspace, est *equilibrate.State) (equilibrate.Result, error) {
+	switch {
+	case st.p.Kind == IntervalTotals:
+		return prob.SolveIntervalState(tlo, thi, x, ws, est)
+	case st.o.Kernel == KernelBisection:
+		return prob.SolveBisection(x, st.o.KernelTol)
+	default:
+		return prob.SolveState(x, ws, est)
 	}
 }
 
-// takeErr returns (and clears) the first recorded worker error. A row or
-// column subproblem with no feasible point (a total beyond its cells'
-// bounds) makes the whole problem infeasible, so it also wraps
-// ErrInfeasible.
+// count adds one chunk's equilibrations and op cost (each subproblem's
+// kernel count plus building its 2w coefficients) to the solve's counters,
+// once per chunk rather than once per subproblem.
+func (st *diagState) count(eqs, ops int64) {
+	if c := st.o.Counters; c != nil && eqs > 0 {
+		c.Equilibrations.Add(eqs)
+		c.Ops.Add(ops)
+	}
+}
+
+// fail records a worker's first error; takeErr reports it after the phase.
+func (st *diagState) fail(chunk int, err error) {
+	if st.errs[chunk] == nil {
+		st.errs[chunk] = err
+	}
+}
+
+// takeErr returns (and clears) the first recorded worker error, classified
+// by KernelErr.
 func (st *diagState) takeErr() error {
 	for c, err := range st.errs {
 		if err != nil {
 			st.errs[c] = nil
-			if errors.Is(err, equilibrate.ErrInfeasible) {
-				err = fmt.Errorf("%w: %w", ErrInfeasible, err)
-			}
-			return err
+			return KernelErr(err)
 		}
 	}
 	return nil
+}
+
+// KernelErr classifies an error from the equilibration kernel: a row or
+// column subproblem with no feasible point (a total beyond its cells'
+// bounds) makes the whole problem infeasible, so an error carrying
+// equilibrate.ErrInfeasible is wrapped to match ErrInfeasible too. Other
+// errors (nil included) pass through unchanged. SEA and the RC and
+// Dykstra baselines route their subproblem errors through here.
+func KernelErr(err error) error {
+	if errors.Is(err, equilibrate.ErrInfeasible) && !errors.Is(err, ErrInfeasible) {
+		return fmt.Errorf("%w: %w", ErrInfeasible, err)
+	}
+	return err
 }
 
 // supplies writes the dual-consistent row total estimates S_i(λ,μ) into dst.

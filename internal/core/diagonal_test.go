@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -379,6 +380,94 @@ func TestWarmStart(t *testing.T) {
 	}
 	if warm.Iterations > 2 {
 		t.Errorf("warm start from the optimum took %d iterations, want <= 2", warm.Iterations)
+	}
+}
+
+// onsetProblem builds an elastic instance whose dual descent takes well over
+// warmOnset iterations to converge (elastic totals couple the two phases
+// through the multipliers, so tight tolerances mean long runs).
+func onsetProblem(t *testing.T) *DiagonalProblem {
+	t.Helper()
+	m, n := 40, 60
+	rng := rand.New(rand.NewPCG(17, 23))
+	x0 := make([]float64, m*n)
+	gamma := make([]float64, m*n)
+	for k := range x0 {
+		x0[k] = rng.Float64() * 10
+		gamma[k] = 0.5 + rng.Float64()
+	}
+	s0 := make([]float64, m)
+	d0 := make([]float64, n)
+	alpha := make([]float64, m)
+	beta := make([]float64, n)
+	for i := range s0 {
+		s0[i] = 100 + rng.Float64()*50
+		alpha[i] = 0.05 + rng.Float64()*0.05
+	}
+	for j := range d0 {
+		d0[j] = 80 + rng.Float64()*40
+		beta[j] = 0.05 + rng.Float64()*0.05
+	}
+	p, err := NewElastic(m, n, x0, gamma, s0, alpha, d0, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestWarmOnsetBitExact drives the solve past the warm-start onset
+// (iterations > warmOnset without an arena) with a tight tolerance, so the
+// phases replay permutations through the mid-solve State slots — and still
+// match a solve with warm starts disabled bit for bit.
+func TestWarmOnsetBitExact(t *testing.T) {
+	p := onsetProblem(t)
+	opts := func(disable bool) *Options {
+		o := DefaultOptions()
+		o.Criterion = MaxAbsDelta
+		o.Epsilon = 1e-11
+		o.MaxIterations = 5000
+		o.DisableWarmStart = disable
+		return o
+	}
+	ref, err := SolveDiagonal(context.Background(), p, opts(true))
+	if err != nil {
+		t.Fatalf("cold reference solve: %v", err)
+	}
+	if ref.Iterations <= warmOnset {
+		t.Fatalf("instance converged in %d iterations; the test needs > %d to engage warm onset",
+			ref.Iterations, warmOnset)
+	}
+	sol, err := SolveDiagonal(context.Background(), p, opts(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "warm-onset", sol, ref)
+}
+
+// TestArenaWarmSlotsBitExact runs back-to-back arena solves — from the
+// second on, every iteration replays its per-iteration warm slot — against
+// arena solves of the same sequence with warm starts disabled.
+func TestArenaWarmSlotsBitExact(t *testing.T) {
+	p := determinismProblem(t)
+	opts := func(disable bool) *Options {
+		o := DefaultOptions()
+		o.Criterion = MaxAbsDelta
+		o.Epsilon = 1e-6
+		o.DisableWarmStart = disable
+		o.Arena = NewArena()
+		return o
+	}
+	ow, oc := opts(false), opts(true)
+	for round := 0; round < 3; round++ {
+		want, err := SolveDiagonal(context.Background(), p, oc)
+		if err != nil {
+			t.Fatalf("round %d cold: %v", round, err)
+		}
+		got, err := SolveDiagonal(context.Background(), p, ow)
+		if err != nil {
+			t.Fatalf("round %d warm: %v", round, err)
+		}
+		sameSolution(t, fmt.Sprintf("arena-round-%d", round), got, want)
 	}
 }
 

@@ -280,19 +280,6 @@ type Options struct {
 	// are bit-identical either way (warm starts are exact); this exists as
 	// the ablation switch that makes the warm-start speedup attributable.
 	DisableWarmStart bool
-	// DisableBatch turns off the batched equilibration kernel, solving every
-	// row/column subproblem with an individual sort-and-sweep. Results are
-	// bit-identical either way (the batch produces each subproblem's unique
-	// canonical breakpoint order); this exists as the ablation switch that
-	// makes the fused-sort speedup attributable, and as the reference path
-	// the batched-vs-unbatched property tests compare against.
-	DisableBatch bool
-	// BatchEvents overrides the batched kernel's per-chunk event budget —
-	// the number of concatenated breakpoint events one fused radix pass
-	// covers. 0 means the tuned default (see docs/PERFORMANCE.md); 1
-	// degenerates to one subproblem per batch. Exposed for the segment-
-	// boundary property tests; solutions do not depend on it.
-	BatchEvents int
 }
 
 // DefaultOptions returns the options used throughout the paper's

@@ -317,11 +317,23 @@ func (p *Problem) recoverPrimal(x []float64, lambda float64) float64 {
 	return total
 }
 
-// findRoot locates λ with φ(λ) = R by the sorted-breakpoint sweep. It is a
-// composition of the stages shared with the batched kernel (Batch): the
+// validate is the shared argument check of SolveState and
+// SolveIntervalState.
+func (p *Problem) validate(x []float64) error {
+	n := len(p.C)
+	if len(p.A) != n || (p.U != nil && len(p.U) != n) || (p.L != nil && len(p.L) != n) || len(x) != n {
+		return fmt.Errorf("equilibrate: inconsistent lengths (c=%d a=%d u=%d l=%d x=%d)",
+			len(p.C), len(p.A), len(p.U), len(p.L), len(x))
+	}
+	if p.E < 0 {
+		return fmt.Errorf("equilibrate: negative elastic slope %g", p.E)
+	}
+	return nil
+}
+
+// findRoot locates λ with φ(λ) = R by the sorted-breakpoint sweep: the
 // feasibility pre-checks, the event build, the canonical sort (warm replay or
-// cold), and the segment sweep — so the two paths stay bit-identical by
-// construction.
+// cold), and the segment sweep.
 func (p *Problem) findRoot(ws *Workspace, st *State) (lambda float64, ops int64, err error) {
 	n := len(p.C)
 	if n == 0 {
@@ -332,11 +344,11 @@ func (p *Problem) findRoot(ws *Workspace, st *State) (lambda float64, ops int64,
 		return 0, int64(n), err
 	}
 
-	ev, keys, err := p.appendEvents(ws.events[:0], ws.keys[:0])
+	ev, keys, err := p.buildEvents(ws.events, ws.keys)
+	ws.events, ws.keys = ev, keys // keep grown capacity
 	if err != nil {
 		return 0, 0, err
 	}
-	ws.events, ws.keys = ev, keys // keep grown capacity
 
 	// Sort the keys under the (position, build index) total order. Cold
 	// path: straight insertion for short arrays, stable radix for long ones
@@ -349,7 +361,7 @@ func (p *Problem) findRoot(ws *Workspace, st *State) (lambda float64, ops int64,
 	var sk []sortx.Key
 	if st != nil && st.nev == m && st.cool == 0 {
 		sk = ws.ensureKeyAlt(m)
-		if replayKeys(sk, keys, st.perm[:m], 0) {
+		if replayKeys(sk, keys, st.perm[:m]) {
 			st.FastSorts++
 		} else {
 			// The drift outran the budget: discard the gather, sort from
@@ -368,7 +380,7 @@ func (p *Problem) findRoot(ws *Workspace, st *State) (lambda float64, ops int64,
 		}
 	}
 	if st != nil {
-		st.save(sk, 0)
+		st.save(sk)
 	}
 	// Charge the paper's cost model: linear build + sort + sweep. The warm
 	// fast path usually does less real work than n·log₂n; the charge keeps
@@ -420,23 +432,21 @@ func (p *Problem) feasible(lb float64) error {
 	return nil
 }
 
-// appendEvents builds p's breakpoint events onto ev, with each sort key's
-// Idx set to its event's index in ev — the local build index for a single
-// solve starting from ev[:0], or the concatenated-array index when ev
-// already carries the events of earlier batch segments. One activation event
-// per term (where it leaves its lower bound), plus one saturation event per
-// finite upper bound. The classical unbounded case (L = U = nil, by far the
+// buildEvents builds p's breakpoint events into ev[:0], with each sort key's
+// Idx set to its event's build index, reusing the capacity of ev and keys.
+// One activation event per term (where it leaves its lower bound), plus one
+// saturation event per finite upper bound. The classical unbounded case (L = U = nil, by far the
 // hottest) gets a branch-free build loop with the bounds checks hoisted. A
 // -0.0 position is normalized to +0.0 so the key order agrees with float
 // comparison (±0 tie under ==, split by their bit patterns). Positions must
 // not be NaN — the canonical comparison is a total order only then — so NaN
 // breakpoints (from NaN coefficients) are rejected here. On error the
-// returned slices may carry partial appends; callers truncate.
-func (p *Problem) appendEvents(ev []event, keys []sortx.Key) ([]event, []sortx.Key, error) {
+// returned slices may carry a partial build.
+func (p *Problem) buildEvents(ev []event, keys []sortx.Key) ([]event, []sortx.Key, error) {
 	n := len(p.C)
 	cs, as := p.C[:n], p.A[:n]
+	ev, keys = ev[:0], keys[:0]
 	if p.L == nil && p.U == nil {
-		base := int32(len(ev))
 		for j := 0; j < n; j++ {
 			a, c := as[j], cs[j]
 			if !(a > 0) {
@@ -450,7 +460,7 @@ func (p *Problem) appendEvents(ev []event, keys []sortx.Key) ([]event, []sortx.K
 				pos = 0
 			}
 			ev = append(ev, event{pos: pos, da: a, dc: c})
-			keys = append(keys, sortx.Key{Bits: sortx.FloatBits(pos), Idx: base + int32(j)})
+			keys = append(keys, sortx.Key{Bits: sortx.FloatBits(pos), Idx: int32(j)})
 		}
 	} else {
 		for j := 0; j < n; j++ {
@@ -500,36 +510,45 @@ func (p *Problem) appendEvents(ev []event, keys []sortx.Key) ([]event, []sortx.K
 	return ev, keys, nil
 }
 
-// replayKeys gathers the build-order keys into dst following perm (segment-
-// local build indices; base is the offset of the segment's first key when
-// keys is a batch's concatenated array, 0 for a single solve) and repairs
-// coefficient drift with the budgeted nearly-sorted insertion pass,
+// replayKeys gathers the build-order keys into dst following perm and
+// repairs coefficient drift with the budgeted nearly-sorted insertion pass,
 // reporting whether the budget held.
-func replayKeys(dst, keys []sortx.Key, perm []int32, base int32) bool {
+func replayKeys(dst, keys []sortx.Key, perm []int32) bool {
 	for k, id := range perm {
-		dst[k] = keys[base+id] // keys are in build order: keys[base+id].Idx == base+id
+		dst[k] = keys[id] // keys are in build order: keys[id].Idx == id
 	}
 	return sortx.InsertionBudgetKeys(dst)
 }
 
-// save caches sk as the slot's sorted permutation, rebasing concatenated-
-// array indices of a batch (base > 0) back to segment-local build indices.
-func (st *State) save(sk []sortx.Key, base int32) {
+// save caches sk as the slot's sorted permutation.
+func (st *State) save(sk []sortx.Key) {
 	m := len(sk)
 	if cap(st.perm) < m {
 		st.perm = make([]int32, m)
 	}
 	st.perm = st.perm[:m]
-	if base == 0 {
-		for k, e := range sk {
-			st.perm[k] = e.Idx
-		}
-	} else {
-		for k, e := range sk {
-			st.perm[k] = e.Idx - base
-		}
+	for k, e := range sk {
+		st.perm[k] = e.Idx
 	}
 	st.nev = m
+}
+
+// PresizeStates gives each cold State in sts permutation capacity for nev
+// events, carved from one shared slab — engaging a phase's warm starts then
+// costs two allocations instead of one per subproblem. States already
+// carrying a permutation keep it, and solves whose event count exceeds nev
+// simply grow individually: presizing is purely an allocation-count
+// optimization.
+func PresizeStates(sts []State, nev int) {
+	if nev <= 0 || len(sts) == 0 {
+		return
+	}
+	slab := make([]int32, len(sts)*nev)
+	for i := range sts {
+		if cap(sts[i].perm) < nev {
+			sts[i].perm = slab[i*nev : i*nev : (i+1)*nev]
+		}
+	}
 }
 
 // sweep walks the sorted segments left to right. Before the first event
@@ -541,8 +560,6 @@ func (st *State) save(sk []sortx.Key, base int32) {
 // division happens once, at the root segment, clamped into the segment to
 // stay robust to rounding at the boundaries.
 //
-// ev may be a batch's concatenated event array: sk's Idx values index into
-// it directly, so the exact same code serves the single and batched paths.
 // The returned extra op count is the sweep's contribution to the cost model
 // (the segment index where the root landed).
 func (p *Problem) sweep(ev []event, sk []sortx.Key, lb float64, st *State) (lambda float64, extra int64, err error) {

@@ -272,3 +272,29 @@ func TestWorkspaceKeepsSteadyCapacity(t *testing.T) {
 		t.Error("steady same-size workload reallocated the coefficient buffer")
 	}
 }
+
+// TestPresizeStates: presized states absorb saves up to the slab capacity
+// without allocating, and solves exceeding it still work.
+func TestPresizeStates(t *testing.T) {
+	sts := make([]State, 4)
+	PresizeStates(sts, 16)
+	for i := range sts {
+		if cap(sts[i].perm) != 16 {
+			t.Fatalf("state %d: perm cap %d, want 16", i, cap(sts[i].perm))
+		}
+	}
+	// Saving beyond the slab capacity must grow independently, not spill
+	// into the neighbor's slab region.
+	rng := rand.New(rand.NewPCG(9, 9))
+	p := buildProblem(rng, warmCase{n: 32})
+	x := make([]float64, 32)
+	if _, err := p.SolveState(x, nil, &sts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if sts[0].nev != 32 {
+		t.Fatalf("state 0 nev = %d, want 32", sts[0].nev)
+	}
+	if cap(sts[1].perm) != 16 || sts[1].nev != 0 {
+		t.Fatal("neighbor state disturbed by out-of-slab growth")
+	}
+}

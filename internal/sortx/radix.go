@@ -45,11 +45,12 @@ func InsertionKeys(keys []Key) {
 	}
 }
 
-// InsertionBudgetKeys is the budgeted nearly-sorted insertion pass over keys
-// (see InsertionBudgetCmp): it sorts in place under (Bits, Idx) and reports
-// whether the total displacement stayed within nearlySortedBudget·len. On
-// false the slice is left partially ordered but still a permutation of the
-// input, and the caller re-sorts from scratch.
+// InsertionBudgetKeys is the budgeted insertion pass of warm-started
+// re-solves, whose keys arrive replayed in a nearly sorted order: it sorts
+// in place under (Bits, Idx) and reports whether the total displacement
+// stayed within nearlySortedBudget·len. On false the slice is left
+// partially ordered but still a permutation of the input, and the caller
+// re-sorts from scratch.
 func InsertionBudgetKeys(keys []Key) bool {
 	budget := nearlySortedBudget * len(keys)
 	for i := 1; i < len(keys); i++ {
@@ -92,19 +93,7 @@ func RadixKeys(keys, scratch []Key) []Key {
 	for _, k := range keys {
 		diff |= k.Bits ^ b0
 	}
-	return RadixKeysMask(keys, scratch, diff)
-}
-
-// RadixKeysMask is RadixKeys with the differing-byte mask precomputed by the
-// caller — batch kernels fold the XOR mask while building keys, saving the
-// pre-pass over data that has since left cache. diff must cover the pairwise
-// XORs of the keys' Bits (an OR of each key XOR any one fixed reference does,
-// since k1^k2 = (k1^ref)^(k2^ref)); byte positions absent from it are
-// constant across the input and skipped. A superset mask only costs extra
-// counting passes, never correctness. diff == 0 returns keys unchanged.
-func RadixKeysMask(keys, scratch []Key, diff uint64) []Key {
-	n := len(keys)
-	if n < 2 || diff == 0 {
+	if diff == 0 {
 		return keys
 	}
 	// Collect the active byte planes, then fill every plane's histogram in
@@ -112,8 +101,7 @@ func RadixKeysMask(keys, scratch []Key, diff uint64) []Key {
 	// counts taken on the input array are valid for every later pass even
 	// though the keys have moved between the buffers by then. Each radix
 	// pass is thereby scatter-only — one stream over the keys instead of
-	// the count+scatter two — which matters once the key array outgrows L1
-	// (fused multi-subproblem batches; see internal/equilibrate.Batch).
+	// the count+scatter two.
 	var shifts [8]uint
 	np := 0
 	for shift := uint(0); shift < 64; shift += 8 {

@@ -1,82 +1,23 @@
-// Package sortx provides the sorting routines used by the exact
-// equilibration kernel.
+// Package sortx provides the sorts of the exact equilibration kernel.
 //
-// The paper implements exact equilibration with HEAPSORT for the large
-// arrays arising in constrained matrix problems (hundreds to thousands of
-// breakpoints per row/column subproblem) and with STRAIGHT INSERTION SORT
-// for the short arrays (10–120 elements) arising in the general problems of
-// its Section 5. Both are reproduced here, together with an adaptive
-// dispatcher mirroring that size-based choice, so that the ablation bench
-// can compare strategies.
+// The kernel sorts compact Key values — order-preserving position bits
+// (FloatBits) plus the build index of the breakpoint they stand for — under
+// the strict (Bits, Idx) order. Arrays of at most InsertionThreshold keys
+// use straight insertion (InsertionKeys), the paper's choice for short
+// arrays; longer ones use a stable LSD radix sort (RadixKeys), whose
+// stability yields the canonical tie order for free. Warm-started re-solves
+// replay the previous order and repair drift with a budgeted insertion pass
+// (InsertionBudgetKeys). The paper's HEAPSORT for long arrays is not kept:
+// its n·log₂n survives only in the kernel's operation-count model.
 package sortx
 
-// InsertionThreshold is the array length at or below which Adaptive uses
-// straight insertion sort. The paper used insertion sort for arrays of 10 to
+// InsertionThreshold is the array length at or below which the kernel sorts
+// by straight insertion. The paper used insertion sort for arrays of 10 to
 // 120 elements and heapsort for "substantially larger than one hundred".
 const InsertionThreshold = 128
 
-// Insertion sorts xs in ascending order using straight insertion sort.
-// It is O(n²) in the worst case but fastest for short, nearly-sorted input.
-func Insertion(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
-}
-
-// Heap sorts xs in ascending order using heapsort: O(n log n) worst case,
-// in place, no allocation.
-func Heap(xs []float64) {
-	n := len(xs)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(xs, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		xs[0], xs[end] = xs[end], xs[0]
-		siftDown(xs, 0, end)
-	}
-}
-
-// siftDown restores the max-heap property for the subtree rooted at i within
-// xs[:n].
-func siftDown(xs []float64, i, n int) {
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && xs[child+1] > xs[child] {
-			child++
-		}
-		if xs[i] >= xs[child] {
-			return
-		}
-		xs[i], xs[child] = xs[child], xs[i]
-		i = child
-	}
-}
-
-// Adaptive sorts xs ascending, choosing insertion sort for short arrays and
-// heapsort otherwise, as the paper's implementation does.
-func Adaptive(xs []float64) {
-	if len(xs) <= InsertionThreshold {
-		Insertion(xs)
-	} else {
-		Heap(xs)
-	}
-}
-
-// IsSorted reports whether xs is in ascending order.
-func IsSorted(xs []float64) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] > xs[i] {
-			return false
-		}
-	}
-	return true
-}
+// nearlySortedBudget bounds the total element displacement
+// InsertionBudgetKeys spends before giving up: inputs within 4·len total
+// inversion distance of sorted order finish in the linear pass; anything
+// messier is left to a full sort.
+const nearlySortedBudget = 4

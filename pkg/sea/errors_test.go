@@ -95,6 +95,28 @@ func TestInfeasibleChainsUnderInvalidProblem(t *testing.T) {
 	}
 }
 
+// TestKernelInfeasibleSentinel: a total the kernel cannot reach — the 1×1
+// fixed problem whose only cell is capped at 0.5 below its total 1 — passes
+// validation, and every solver that meets it inside an equilibration
+// subproblem reports ErrInfeasible.
+func TestKernelInfeasibleSentinel(t *testing.T) {
+	for _, name := range []string{"sea", "rc", "dykstra"} {
+		p, err := NewDiagonal(&DiagonalProblem{
+			Kind: FixedTotals, M: 1, N: 1,
+			X0: []float64{1}, Gamma: []float64{1},
+			S0: []float64{1}, D0: []float64{1},
+			Upper: []float64{0.5},
+		})
+		if err != nil {
+			t.Fatalf("NewDiagonal: %v", err)
+		}
+		_, err = Solve(context.Background(), name, p, nil)
+		if !errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: err = %v, want ErrInfeasible", name, err)
+		}
+	}
+}
+
 // TestNotConvergedSentinel: iteration-limit exhaustion is matchable and
 // still returns the best iterate, stamped StatusMaxIterations.
 func TestNotConvergedSentinel(t *testing.T) {
